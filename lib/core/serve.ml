@@ -322,7 +322,7 @@ let serve_a ?(updates = Workload.Mutation.none) ?(ops = [||])
                 note_tail ~prof ~qid ~batch:1 ~arrived:t
                   ~started:start_at.(qid) ~finished:fin;
                 Latency.add lat (fin -. t);
-                if qid land 63 = 0 then Machine.sample_residency m
+                if j land 63 = 0 then Machine.sample_residency m
             | Workload.Mutation.Query _ -> ())
           ops);
     Engine.run eng;
@@ -360,7 +360,7 @@ let serve_a ?(updates = Workload.Mutation.none) ?(ops = [||])
             note_tail ~prof ~qid ~batch:1 ~arrived:t ~started:start_at.(qid)
               ~finished:fin;
             Latency.add lat (fin -. t);
-            if qid land 63 = 0 then Machine.sample_residency m)
+            if j land 63 = 0 then Machine.sample_residency m)
           my);
     Engine.run eng;
     let errors = ref 0 in
@@ -678,7 +678,7 @@ let serve_c ?faults ?series (sc : Workload.Scenario.t) ~variant ~keys ~queries
           out_qids.(s).(out_lens.(s)) <- qid;
           out_lens.(s) <- out_lens.(s) + 1;
           if out_lens.(s) = cap then flush s;
-          if qid land 63 = 0 then Machine.sample_residency m
+          if j land 63 = 0 then Machine.sample_residency m
         done;
         for s = 0 to n_slaves - 1 do
           flush s

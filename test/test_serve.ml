@@ -420,6 +420,33 @@ let test_tail_breakdown () =
             worst)
     (Dispatch.Serve.run spec)
 
+(* Under the cache microscope every serving node records residency
+   samples through the run, not only at its end: nodes sample on their
+   own share of the arrivals, so a node dealt only odd arrivals still
+   samples mid-run. *)
+let test_residency_sampled_on_every_node () =
+  let arrival = parse_exn "poisson:2e5" in
+  let check sc method_id =
+    let keys, queries, arrivals, _ = Dispatch.Serve.workload sc ~arrival in
+    let scope = Obs.Cachescope.create () in
+    ignore
+      (Obs.Cachescope.with_recording scope (fun () ->
+           Dispatch.Serve.run_method sc ~arrival ~slo_ns:1e6 ~method_id ~keys
+             ~queries ~arrivals));
+    check_int "one scope node per machine" sc.Workload.Scenario.n_nodes
+      (List.length (Obs.Cachescope.nodes scope));
+    List.iter
+      (fun node ->
+        check_bool
+          (Obs.Cachescope.node_name node ^ " sampled mid-run")
+          true
+          (List.length (Obs.Cachescope.samples node) > 1))
+      (Obs.Cachescope.nodes scope)
+  in
+  check (Workload.Scenario.with_masters 2 Workload.Scenario.ci)
+    Dispatch.Methods.C3;
+  check Workload.Scenario.ci Dispatch.Methods.A
+
 (* ------------------------------------------------------------------ *)
 (* Spec builder guards *)
 
@@ -466,6 +493,8 @@ let () =
           tc "render" `Quick test_serve_render;
           tc "cold/warm split" `Quick test_cold_warm_split;
           tc "tail queue/service breakdown" `Quick test_tail_breakdown;
+          tc "residency sampled on every node" `Quick
+            test_residency_sampled_on_every_node;
         ] );
       ( "timeline",
         [
