@@ -348,6 +348,12 @@ let run_c ?faults (sc : Workload.Scenario.t)
   let expected = Array.make (max 1 n) (-1) in
   let errors = ref 0 in
   let lat = Latency.create () in
+  let prof = Obs.Profile.current () in
+  (* Per-batch slave-side cost breakdowns, joined with replies at the
+     target for the tail-query inspector (as in [Method_c]). *)
+  let batch_profile =
+    match prof with Some _ -> Some (Hashtbl.create 512) | None -> None
+  in
   let read_at = Array.make (max 1 n) 0.0 in
   let next_batch_id = ref 0 in
   let in_flight : (int, Failover.pending) Hashtbl.t = Hashtbl.create 256 in
@@ -503,6 +509,12 @@ let run_c ?faults (sc : Workload.Scenario.t)
           | Proto.Term -> incr terms
           | Proto.Reply _ -> failwith "slave received a reply"
           | Proto.Data (id, ws) ->
+              let busy0 = Machine.busy_ns m in
+              let stats0 =
+                match batch_profile with
+                | Some _ -> Cachesim.Hierarchy.stats (Machine.hierarchy m)
+                | None -> Cachesim.Hierarchy.zero_stats
+              in
               Machine.set_phase m "batch_xfer";
               Machine.compute m overhead;
               let cnt = Array.length ws in
@@ -525,6 +537,20 @@ let run_c ?faults (sc : Workload.Scenario.t)
               Machine.compute m overhead;
               Machine.sync m;
               Machine.sample_residency m;
+              (match batch_profile with
+              | Some tbl ->
+                  let ds =
+                    Cachesim.Hierarchy.sub_stats
+                      (Cachesim.Hierarchy.stats (Machine.hierarchy m))
+                      stats0
+                  in
+                  let cpu =
+                    Machine.busy_ns m -. busy0 -. ds.Cachesim.Hierarchy.cost_ns
+                  in
+                  Hashtbl.replace tbl id
+                    (("cpu", cpu)
+                    :: Cachesim.Hierarchy.stats_breakdown params ds)
+              | None -> ());
               let ranks =
                 Array.init !rlen (fun j -> Machine.peek m (reply + j))
               in
@@ -537,13 +563,29 @@ let run_c ?faults (sc : Workload.Scenario.t)
   done;
   (* Replies carry partition-local ranks validated against the
      enqueue-time oracle expectations — exact, never silently wrong. *)
-  let record_reply ~qids ~ranks =
+  let record_reply ~id ~qids ~ranks =
     if Array.length qids <> Array.length ranks then incr errors
     else
       Array.iteri
         (fun j rank ->
           if rank <> expected.(qids.(j)) then incr errors;
-          Latency.add lat (Engine.now eng -. read_at.(qids.(j))))
+          let resp = Engine.now eng -. read_at.(qids.(j)) in
+          Latency.add lat resp;
+          match prof with
+          | Some p when Obs.Tail.qualifies (Obs.Profile.tail p) resp ->
+              let bd =
+                match batch_profile with
+                | Some tbl ->
+                    Option.value ~default:[] (Hashtbl.find_opt tbl id)
+                | None -> []
+              in
+              let slave_ns =
+                List.fold_left (fun acc (_, x) -> acc +. x) 0.0 bd
+              in
+              Obs.Tail.note (Obs.Profile.tail p) ~id:qids.(j) ~ns:resp
+                ~batch:(Array.length ranks)
+                ~breakdown:(("queue_and_net", resp -. slave_ns) :: bd)
+          | Some _ | None -> ())
         ranks
   in
   (* --- Target: collect replies; a batch resolves when its reply lands
@@ -563,11 +605,15 @@ let run_c ?faults (sc : Workload.Scenario.t)
                 | None -> incr errors
                 | Some p ->
                     Hashtbl.remove in_flight id;
-                    record_reply ~qids:p.Failover.qids ~ranks)
+                    record_reply ~id ~qids:p.Failover.qids ~ranks)
             | Proto.Data _ -> failwith "target received a data batch"
           done)
   | Some fo ->
       let resend id (p : Failover.pending) =
+        (match prof with
+        | Some pr ->
+            Obs.Profile.charge pr ~path:[ "retry"; "host_overhead" ] overhead
+        | None -> ());
         Netsim.Network.isend net ~src:p.Failover.home ~dst:p.Failover.dst
           ~tag:Proto.data_tag ~phase:"retry"
           ~size:(Array.length p.Failover.payload * word)
@@ -598,7 +644,7 @@ let run_c ?faults (sc : Workload.Scenario.t)
                     | None -> ()
                     | Some p ->
                         Hashtbl.remove in_flight id;
-                        record_reply ~qids:p.Failover.qids ~ranks)
+                        record_reply ~id ~qids:p.Failover.qids ~ranks)
                 | Proto.Data _ -> failwith "target received a data batch")
             | None -> ());
             Failover.sweep fo ~now:(Engine.now eng) ~in_flight ~resend

@@ -319,6 +319,34 @@ let test_dynamic_crash_accounting () =
   in
   check_bool "degraded dynamic run reproducible" true ((r, st) = again)
 
+(* A degraded dynamic run is observed like a static one: re-sends are
+   charged to the profile's [retry] phase and replies feed the tail
+   inspector. *)
+let test_dynamic_crash_observed () =
+  let updates =
+    match Workload.Mutation.parse "0.2" with
+    | Ok u -> u
+    | Error e -> Alcotest.failf "updates: %s" e
+  in
+  let prof = Obs.Profile.create ~tail_k:16 () in
+  let r, _ =
+    Obs.Profile.with_recording prof (fun () ->
+        Dispatch.Dynamic.run ~faults:(parse_exn "crash:node=3,at=5e4")
+          small_sc ~updates ~method_id:Dispatch.Methods.C3)
+  in
+  let retry_ns =
+    List.fold_left
+      (fun acc (e : Obs.Profile.entry) ->
+        match e.Obs.Profile.path with
+        | "retry" :: _ -> acc +. e.Obs.Profile.ns
+        | _ -> acc)
+      0.0 (Obs.Profile.entries prof)
+  in
+  check_bool "run retried" true
+    (r.Dispatch.Run_result.degraded.Dispatch.Run_result.retries > 0);
+  check_bool "retry phase charged" true (retry_ns > 0.0);
+  check_bool "tail recorded" true (Obs.Tail.worst (Obs.Profile.tail prof) <> [])
+
 (* Replay-prone fault families are rejected up front for dynamic runs:
    a dropped, duplicated or delayed update batch could apply twice (or
    out of order), which in-order exactly-once update forwarding cannot
@@ -495,6 +523,8 @@ let () =
             test_crash_without_fallback_reports_lost;
           Alcotest.test_case "dynamic crash accounting" `Quick
             test_dynamic_crash_accounting;
+          Alcotest.test_case "dynamic crash observed" `Quick
+            test_dynamic_crash_observed;
           Alcotest.test_case "dynamic rejects replay faults" `Quick
             test_dynamic_rejects_replay_faults;
           Alcotest.test_case "slow node" `Quick test_slow_node;
