@@ -203,8 +203,8 @@ let artefact_tests () =
     Test.make ~name:"extension/method-C3-hier"
       (Staged.stage @@ fun () ->
        let r =
-         Dispatch.Method_c_hier.run sc ~routers:2 ~variant:Dispatch.Methods.C3
-           ~keys ~queries ()
+         Dispatch.Method_c.run ~routers:2 sc ~variant:Dispatch.Methods.C3
+           ~keys ~queries
        in
        assert (r.Dispatch.Run_result.validation_errors = 0))
   in

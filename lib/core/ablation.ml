@@ -250,9 +250,9 @@ let hierarchy (spec : Spec.t) =
           ( Printf.sprintf "tree (%d routers)" routers,
             1 + routers + n_slaves,
             fun () ->
-              Method_c_hier.run
+              Method_c.run ~routers
                 { sc with Workload.Scenario.n_nodes = 1 + routers + n_slaves }
-                ~routers ~variant:Methods.C3 ~keys ~queries () ))
+                ~variant:Methods.C3 ~keys ~queries ))
         [ 2; 3 ]
   in
   Exec.Sweep.run ~jobs:spec.Spec.jobs

@@ -10,6 +10,13 @@
 
 type t
 
+val split : int -> parts:int -> int array
+(** [split n ~parts] cuts [[0, n)] into [parts >= 1] contiguous ranges of
+    near-equal size: range [i] is [[b.(i), b.(i+1))] of the returned
+    [parts + 1] boundaries, and sizes differ by at most one (the first
+    [n mod parts] ranges hold the extra elements).  The one split used
+    for key slices, masters' query chunks and router groups. *)
+
 val make : keys:int array -> parts:int -> t
 (** [make ~keys ~parts] partitions the strictly-increasing [keys] into
     [parts >= 1] slices.  Requires [Array.length keys >= parts]. *)

@@ -13,3 +13,18 @@ type t =
 val data_tag : int
 val reply_tag : int
 val term_tag : int
+
+(** {2 Op words}
+
+    An interleaved update/query stream rides the same [Data] batches one
+    word per op: [tag * Index.Key.sentinel + key]. *)
+
+val op_query : int
+val op_insert : int
+val op_delete : int
+
+val op_word : int -> int -> int
+(** [op_word tag key]. *)
+
+val op_tag : int -> int
+val op_key : int -> int

@@ -521,38 +521,17 @@ let serve_b (sc : Workload.Scenario.t) ~jobs ~keys ~queries ~arrivals
   }
 
 (* ------------------------------------------------------------------ *)
-(* Method C: live master dispatch over the distributed in-cache index.
-   Mirrors [Method_c.run]'s node layout, protocol and failover exactly;
-   the serving differences are (a) per-query admission pacing with a
-   flush-everything-before-going-idle rule, so buffer residence never
-   outlives the backlog, and (b) per-query response timestamps measured
-   from admission, not from the master read.  The master's serial
-   dispatch loop plus its single NIC are the funnel every query passes
-   through — this is where C saturates first. *)
+(* Method C serves through the one Method C driver ({!Method_c.serve}):
+   live master dispatch with per-query admission pacing, responses
+   timed from admission.  The master's serial dispatch loop plus its
+   single NIC are the funnel every query passes through — this is where
+   C saturates first.  A fault plan's scheduled events are pinned to the
+   timeline before the run, so the event lane carries the cause next to
+   the windows showing the effect. *)
 
-let serve_c ?faults ?series (sc : Workload.Scenario.t) ~variant ~keys ~queries
-    ~arrivals ~start_at ~done_at ~finish =
-  let params = sc.Workload.Scenario.params in
-  let net_profile = sc.Workload.Scenario.net in
-  let n_nodes = sc.Workload.Scenario.n_nodes in
-  let n_masters = sc.Workload.Scenario.n_masters in
-  if n_masters < 1 then invalid_arg "Serve: need at least one master";
-  if n_nodes < n_masters + 1 then invalid_arg "Serve: need a master and a slave";
-  let n_slaves = n_nodes - n_masters in
-  let n = Array.length arrivals in
-  let batch_keys = Workload.Scenario.queries_per_batch sc in
-  let eng = Engine.create () in
-  let plan =
-    match faults with
-    | Some spec when not (Fault.Spec.is_none spec) ->
-        Some (Fault.Plan.create spec ~seed:sc.Workload.Scenario.seed)
-    | _ -> None
-  in
-  (* Pin the fault plan's scheduled events to the timeline before the
-     run: a crash or slow node is knowable from the spec, so the event
-     lane carries the cause next to the windows showing the effect. *)
-  (match (series, faults, plan) with
-  | Some b, Some spec, Some _ ->
+let pin_fault_events series faults =
+  match (series, faults) with
+  | Some b, Some spec when not (Fault.Spec.is_none spec) ->
       List.iter
         (fun (node, at) ->
           Obs.Series.note_event b ~at
@@ -563,322 +542,7 @@ let serve_c ?faults ?series (sc : Workload.Scenario.t) ~variant ~keys ~queries
           Obs.Series.note_event b ~at:0.0
             ~label:(Printf.sprintf "slow:node=%d" node))
         spec.Fault.Spec.slow
-  | _ -> ());
-  let net = Netsim.Network.create ?faults:plan eng net_profile ~nodes:n_nodes in
-  let part = Partition.make ~keys ~parts:n_slaves in
-  let word = params.Cachesim.Mem_params.word_bytes in
-  let overhead = net_profile.Netsim.Profile.host_overhead_ns in
-  let masters =
-    Array.init n_masters (fun i ->
-        Machine.create eng ~name:(Printf.sprintf "master%d" i) params)
-  in
-  let slaves =
-    Array.init n_slaves (fun s ->
-        Machine.create eng ~name:(Printf.sprintf "slave%d" s) params)
-  in
-  let slave_idx =
-    Array.init n_slaves (fun s ->
-        Slave_node.build variant slaves.(s) (Partition.slice part s)
-          ~batch_keys ~params)
-  in
-  let assign = round_robin n n_masters in
-  let expected = Array.map (fun q -> Index.Ref_impl.rank keys q) queries in
-  let errors = ref 0 in
-  let lat = Latency.create () in
-  let prof = Obs.Profile.current () in
-  let next_batch_id = ref 0 in
-  let in_flight : (int, Failover.pending) Hashtbl.t = Hashtbl.create 256 in
-  let fo =
-    match plan with
-    | None -> None
-    | Some p ->
-        let timeout_default =
-          8.0
-          *. (net_profile.Netsim.Profile.latency_ns
-             +. Netsim.Profile.transfer_ns net_profile
-                  sc.Workload.Scenario.batch_bytes
-             +. net_profile.Netsim.Profile.host_overhead_ns)
-        in
-        Some (Failover.create p ~timeout_default ~nodes:n_nodes)
-  in
-  let fallback_idx =
-    match fo with
-    | None -> [||]
-    | Some _ ->
-        Array.map
-          (fun m ->
-            let lo = Machine.words_allocated m in
-            let idx = Index.Sorted_array.build m keys in
-            Machine.label_region m ~label:"fallback" ~base:lo
-              ~words:(Machine.words_allocated m - lo);
-            idx)
-          masters
-  in
-  let spawn_master mi =
-    let m = masters.(mi) in
-    let delims_lo = Machine.words_allocated m in
-    let delims = Index.Sorted_array.build m (Partition.delimiters part) in
-    Machine.label_region m ~label:"partition" ~base:delims_lo
-      ~words:(Machine.words_allocated m - delims_lo);
-    let my = assign.(mi) in
-    let cnt = Array.length my in
-    let q_base = Machine.labelled_alloc m ~label:"queries" (max 1 cnt) in
-    Machine.poke_array m q_base (Array.map (fun qid -> queries.(qid)) my);
-    let out_bufs =
-      Array.init n_slaves (fun _ ->
-          Machine.labelled_alloc m ~label:"mpi_staging" batch_keys)
-    in
-    let out_lens = Array.make n_slaves 0 in
-    let out_qids = Array.init n_slaves (fun _ -> Array.make batch_keys 0) in
-    let flush s =
-      let len = out_lens.(s) in
-      if len > 0 then begin
-        Machine.sync m;
-        Machine.set_phase m "batch_xfer";
-        Machine.compute m overhead;
-        Machine.sync m;
-        let payload =
-          Array.init len (fun j -> Machine.peek m (out_bufs.(s) + j))
-        in
-        let id = !next_batch_id in
-        incr next_batch_id;
-        Hashtbl.add in_flight id
-          (Failover.make_pending
-             ~qids:(Array.sub out_qids.(s) 0 len)
-             ~payload ~dst:(n_masters + s) ~home:mi ~now:(Engine.now eng));
-        Netsim.Network.isend net ~src:mi ~dst:(n_masters + s)
-          ~tag:Proto.data_tag ~phase:"batch_xfer" ~size:(len * word)
-          (Proto.Data (id, payload));
-        Machine.set_phase m "dispatch";
-        out_lens.(s) <- 0
-      end
-    in
-    let cap = max 1 (batch_keys / n_slaves) in
-    Machine.set_phase m "dispatch";
-    Engine.spawn eng ~name:(Printf.sprintf "master%d" mi) (fun () ->
-        for j = 0 to cnt - 1 do
-          let qid = my.(j) in
-          let t = arrivals.(qid) in
-          Machine.sync m;
-          if Engine.now eng < t then begin
-            (* About to go idle: ship the partial buffers first so no
-               already-admitted query waits out the lull, then sleep to
-               the next admission. *)
-            for s = 0 to n_slaves - 1 do
-              flush s
-            done;
-            Machine.sync m;
-            let now = Engine.now eng in
-            if now < t then Engine.delay eng (t -. now)
-          end;
-          start_at.(qid) <- Engine.now eng;
-          let q = Machine.read m (q_base + j) in
-          let s = Index.Sorted_array.search delims q in
-          Machine.write m (out_bufs.(s) + out_lens.(s)) q;
-          out_qids.(s).(out_lens.(s)) <- qid;
-          out_lens.(s) <- out_lens.(s) + 1;
-          if out_lens.(s) = cap then flush s;
-          if j land 63 = 0 then Machine.sample_residency m
-        done;
-        for s = 0 to n_slaves - 1 do
-          flush s
-        done;
-        Machine.sync m;
-        Machine.sample_residency m;
-        for s = 0 to n_slaves - 1 do
-          Netsim.Network.isend net ~src:mi ~dst:(n_masters + s)
-            ~tag:Proto.term_tag ~phase:"control" ~size:0 Proto.Term
-        done)
-  in
-  for mi = 0 to n_masters - 1 do
-    spawn_master mi
-  done;
-  for s = 0 to n_slaves - 1 do
-    Slave_node.spawn eng net slaves.(s) ~node:(n_masters + s)
-      ~terms_expected:n_masters ~batch_keys ~index:slave_idx.(s)
-      ~reply_dst:(fun ~src -> src) ~overhead_ns:overhead ?faults:plan ()
-  done;
-  (* Validate a reply's ranks and record delivery against admission. *)
-  let record_reply ~s ~qids ~ranks =
-    if Array.length qids <> Array.length ranks then incr errors
-    else
-      Array.iteri
-        (fun j rank ->
-          let qid = qids.(j) in
-          if Partition.base part s + rank <> expected.(qid) then incr errors;
-          let fin = Engine.now eng in
-          done_at.(qid) <- fin;
-          note_tail ~prof ~qid ~batch:(Array.length ranks) ~arrived:arrivals.(qid)
-            ~started:start_at.(qid) ~finished:fin;
-          Latency.add lat (fin -. arrivals.(qid)))
-        ranks
-  in
-  (match fo with
-  | None ->
-      for mi = 0 to n_masters - 1 do
-        let quota = Array.length assign.(mi) in
-        Engine.spawn eng ~name:(Printf.sprintf "target%d" mi) (fun () ->
-            let remaining = ref quota in
-            while !remaining > 0 do
-              let env = Netsim.Network.recv net ~dst:mi in
-              match env.Netsim.Network.payload with
-              | Proto.Reply (id, ranks) ->
-                  let s = env.Netsim.Network.src - n_masters in
-                  (match Hashtbl.find_opt in_flight id with
-                  | None -> incr errors
-                  | Some p ->
-                      Hashtbl.remove in_flight id;
-                      record_reply ~s ~qids:p.Failover.qids ~ranks);
-                  remaining := !remaining - Array.length ranks
-              | Proto.Data _ | Proto.Term ->
-                  failwith "serve target received a non-reply"
-            done)
-      done
-  | Some fo ->
-      let fplan = Failover.plan fo in
-      let rem = Array.map Array.length assign in
-      let resend id (p : Failover.pending) =
-        (match series with
-        | Some b -> Obs.Series.note_retry b ~at:(Engine.now eng) ()
-        | None -> ());
-        Netsim.Network.isend net ~src:p.Failover.home ~dst:p.Failover.dst
-          ~tag:Proto.data_tag ~phase:"retry"
-          ~size:(Array.length p.Failover.payload * word)
-          (Proto.Data (id, p.Failover.payload))
-      in
-      let redispatch _id (p : Failover.pending) =
-        let len = Array.length p.Failover.qids in
-        (match series with
-        | Some b ->
-            let now = Engine.now eng in
-            Obs.Series.note_redispatch b ~at:now ();
-            Obs.Series.note_event b ~at:now
-              ~label:(Printf.sprintf "redispatch:node=%d" p.Failover.dst)
-        | None -> ());
-        if Fault.Plan.fallback fplan then begin
-          let m = masters.(p.Failover.home) in
-          let fb = fallback_idx.(p.Failover.home) in
-          Machine.set_phase m "redispatch";
-          Array.iteri
-            (fun j q ->
-              let rank = Index.Sorted_array.search fb q in
-              if rank <> expected.(p.Failover.qids.(j)) then incr errors)
-            p.Failover.payload;
-          Machine.sync m;
-          Machine.set_phase m "dispatch";
-          Failover.note_fallback fo len;
-          (match series with
-          | Some b ->
-              Obs.Series.note_fallback b ~at:(Engine.now eng) ~n:len ()
-          | None -> ());
-          Array.iter
-            (fun qid ->
-              let fin = Engine.now eng in
-              done_at.(qid) <- fin;
-              note_tail ~prof ~qid ~batch:len ~arrived:arrivals.(qid)
-                ~started:start_at.(qid) ~finished:fin;
-              Latency.add lat (fin -. arrivals.(qid)))
-            p.Failover.qids
-        end
-        else begin
-          Failover.note_lost fo ~queries:len;
-          match series with
-          | Some b ->
-              let now = Engine.now eng in
-              for _ = 1 to len do
-                Obs.Series.note_lost b ~at:now
-              done
-          | None -> ()
-        end;
-        rem.(p.Failover.home) <- rem.(p.Failover.home) - len
-      in
-      for mi = 0 to n_masters - 1 do
-        Engine.spawn eng ~name:(Printf.sprintf "target%d" mi) (fun () ->
-            while rem.(mi) > 0 do
-              (match
-                 Netsim.Network.recv_timeout net ~dst:mi
-                   ~timeout_ns:(Failover.timeout_ns fo)
-               with
-              | Some env -> (
-                  match env.Netsim.Network.payload with
-                  | Proto.Reply (id, ranks) -> (
-                      let s = env.Netsim.Network.src - n_masters in
-                      match Hashtbl.find_opt in_flight id with
-                      | None -> ()
-                      | Some p ->
-                          Hashtbl.remove in_flight id;
-                          record_reply ~s ~qids:p.Failover.qids ~ranks;
-                          rem.(mi) <- rem.(mi) - Array.length ranks)
-                  | Proto.Data _ | Proto.Term ->
-                      failwith "serve target received a non-reply")
-              | None -> ());
-              Failover.sweep fo ~now:(Engine.now eng) ~in_flight ~resend
-                ~redispatch
-            done;
-            Failover.note_finish fo ~now:(Engine.now eng))
-      done);
-  Engine.run eng;
-  let raw =
-    match fo with
-    | None -> Engine.now eng
-    | Some f ->
-        let fa = Failover.finish_at f in
-        if fa > 0.0 then fa else Engine.now eng
-  in
-  if Hashtbl.length in_flight <> 0 then incr errors;
-  let idle_sum = ref 0.0 in
-  Array.iter
-    (fun m -> idle_sum := !idle_sum +. (1.0 -. (Machine.busy_ns m /. raw)))
-    slaves;
-  let master_busy =
-    Array.fold_left (fun acc m -> acc +. (Machine.busy_ns m /. raw)) 0.0 masters
-    /. float_of_int n_masters
-  in
-  let sum_stats ms =
-    Array.fold_left
-      (fun acc m ->
-        Cachesim.Hierarchy.add_stats acc
-          (Cachesim.Hierarchy.stats (Machine.hierarchy m)))
-      Cachesim.Hierarchy.zero_stats ms
-  in
-  let degraded =
-    match fo with
-    | None -> Run_result.no_degradation
-    | Some f -> Failover.degraded f
-  in
-  {
-    Run_result.method_id = variant;
-    scenario = sc.Workload.Scenario.name;
-    n_queries = n;
-    n_nodes;
-    batch_bytes = sc.Workload.Scenario.batch_bytes;
-    total_ns = raw;
-    raw_ns = raw;
-    per_key_ns = raw /. float_of_int (max 1 n);
-    slave_idle = !idle_sum /. float_of_int n_slaves;
-    master_busy;
-    messages = Netsim.Network.messages_sent net;
-    bytes_sent = Netsim.Network.bytes_sent net;
-    validation_errors = !errors;
-    cache = Cachesim.Hierarchy.add_stats (sum_stats masters) (sum_stats slaves);
-    overflow_flushes =
-      Array.fold_left
-        (fun acc i -> acc + Slave_node.overflow_flushes i)
-        0 slave_idx;
-    mean_response_ns = Latency.mean lat;
-    p95_response_ns = Latency.percentile lat 0.95;
-    metrics =
-      Telemetry.snapshot ~eng ~net ~machines:(Array.append masters slaves)
-        ~latency:lat ~validation_errors:!errors
-        ?degraded:(match fo with None -> None | Some _ -> Some degraded)
-        ();
-    trace = None;
-    profile = None;
-    degraded;
-    serving = Some (finish ());
-    timeline = None;
-    scope = None;
-  }
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -916,8 +580,12 @@ let run_method ?faults ?(timeline = false) ?timeline_window_ns ?(jobs = 1)
           invalid_arg
             "Serve: --updates is supported for method A only (use `repro \
              ablation updates` for the batch methods)";
-        serve_c ?faults ?series sc ~variant:method_id ~keys ~queries ~arrivals
-          ~start_at ~done_at ~finish
+        pin_fault_events series faults;
+        let run =
+          Method_c.serve ?faults ?series sc ~variant:method_id ~keys ~queries
+            ~arrivals ~start_at ~done_at
+        in
+        { run with Run_result.serving = Some (finish ()) }
   in
   let run =
     match series with

@@ -10,6 +10,10 @@
     delivery, and roll the response-time distribution up against an SLO
     budget ({!Run_result.serving}).
 
+    Methods A and B run here, one engine per node.  The Method C family
+    runs as the open-loop work source of the one Method C driver
+    ({!Method_c.serve}), arrivals dealt round robin over the masters.
+
     What serving exposes that batch sweeps cannot: Method C funnels
     every query through its master's dispatch loop and NIC, so past the
     master's saturation point the arrival queue grows without bound and

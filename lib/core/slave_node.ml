@@ -4,13 +4,18 @@ type index =
   | S_csb of Index.Csb_tree.t
   | S_buffered of Index.Buffered.t
   | S_array of Index.Sorted_array.t
+  | S_segments of Index.Segments.t
 
-let build variant machine slice ~batch_keys ~(params : Cachesim.Mem_params.t) =
+let build ?policy variant machine slice ~batch_keys
+    ~(params : Cachesim.Mem_params.t) =
   let lo = Machine.words_allocated machine in
   let index =
-    match (variant : Methods.id) with
-    | Methods.C1 -> S_csb (Index.Csb_tree.build machine slice)
-    | Methods.C2 ->
+    match ((variant : Methods.id), policy) with
+    | (Methods.A | Methods.B), _ ->
+        invalid_arg "Slave_node.build: variant must be C-1, C-2 or C-3"
+    | _, Some policy -> S_segments (Index.Segments.create machine ~policy slice)
+    | Methods.C1, None -> S_csb (Index.Csb_tree.build machine slice)
+    | Methods.C2, None ->
         let tree = Index.Nary_tree.build machine slice in
         (* Zhou-Ross buffering against the L1: subtrees must fit in half
            the L1 alongside their buffers (Section 3.2). *)
@@ -18,17 +23,22 @@ let build variant machine slice ~batch_keys ~(params : Cachesim.Mem_params.t) =
           (Index.Buffered.create
              ~budget_bytes:(params.Cachesim.Mem_params.l1_size / 2)
              ~max_batch:batch_keys tree)
-    | Methods.C3 -> S_array (Index.Sorted_array.build machine slice)
-    | Methods.A | Methods.B ->
-        invalid_arg "Slave_node.build: variant must be C-1, C-2 or C-3"
+    | Methods.C3, None -> S_array (Index.Sorted_array.build machine slice)
   in
-  Machine.label_region machine ~label:"partition" ~base:lo
-    ~words:(Machine.words_allocated machine - lo);
+  (match index with
+  | S_segments _ -> () (* labels its own partition and delta regions *)
+  | S_csb _ | S_buffered _ | S_array _ ->
+      Machine.label_region machine ~label:"partition" ~base:lo
+        ~words:(Machine.words_allocated machine - lo));
   index
 
 let overflow_flushes = function
   | S_buffered b -> Index.Buffered.overflow_flushes b
-  | S_csb _ | S_array _ -> 0
+  | S_csb _ | S_array _ | S_segments _ -> 0
+
+let segments = function
+  | S_segments seg -> Some seg
+  | S_csb _ | S_buffered _ | S_array _ -> None
 
 let spawn eng net m ~node ~terms_expected ~batch_keys ~index ~reply_dst
     ~overhead_ns ?batch_profile ?faults () =
@@ -85,20 +95,42 @@ let spawn eng net m ~node ~terms_expected ~batch_keys ~index ~reply_dst
               else 0.0
             in
             Machine.set_phase m "lookup";
-            (match index with
-            | S_array sa ->
-                for j = 0 to cnt - 1 do
-                  let q = Machine.read m (buf + j) in
-                  Machine.write m (reply + j) (Index.Sorted_array.search sa q)
-                done
-            | S_csb ct ->
-                for j = 0 to cnt - 1 do
-                  let q = Machine.read m (buf + j) in
-                  Machine.write m (reply + j) (Index.Csb_tree.search ct q)
-                done
-            | S_buffered b ->
-                Index.Buffered.process_batch b ~queries:buf ~results:reply
-                  ~n:cnt);
+            let n_ranks =
+              match index with
+              | S_array sa ->
+                  for j = 0 to cnt - 1 do
+                    let q = Machine.read m (buf + j) in
+                    Machine.write m (reply + j) (Index.Sorted_array.search sa q)
+                  done;
+                  cnt
+              | S_csb ct ->
+                  for j = 0 to cnt - 1 do
+                    let q = Machine.read m (buf + j) in
+                    Machine.write m (reply + j) (Index.Csb_tree.search ct q)
+                  done;
+                  cnt
+              | S_buffered b ->
+                  Index.Buffered.process_batch b ~queries:buf ~results:reply
+                    ~n:cnt;
+                  cnt
+              | S_segments seg ->
+                  (* Op words, applied in arrival order; only queries
+                     produce a rank. *)
+                  let r = ref 0 in
+                  for j = 0 to cnt - 1 do
+                    let w = Machine.read m (buf + j) in
+                    let k = Proto.op_key w in
+                    let tag = Proto.op_tag w in
+                    if tag = Proto.op_query then begin
+                      Machine.write m (reply + !r) (Index.Segments.search seg k);
+                      incr r
+                    end
+                    else if tag = Proto.op_insert then
+                      ignore (Index.Segments.insert seg k)
+                    else ignore (Index.Segments.delete seg k)
+                  done;
+                  !r
+            in
             (* A slow node's computation takes [slow_factor] times as
                long: charge the surplus over the measured lookup time. *)
             if slow_factor > 1.0 then begin
@@ -131,10 +163,12 @@ let spawn eng net m ~node ~terms_expected ~batch_keys ~index ~reply_dst
                   (("cpu", cpu)
                   :: Cachesim.Hierarchy.stats_breakdown params ds)
             | None -> ());
-            let ranks = Array.init cnt (fun j -> Machine.peek m (reply + j)) in
+            let ranks =
+              Array.init n_ranks (fun j -> Machine.peek m (reply + j))
+            in
             Netsim.Network.isend net ~src:node
               ~dst:(reply_dst ~src:env.Netsim.Network.src)
-              ~tag:Proto.reply_tag ~phase:"reply" ~size:(cnt * word)
+              ~tag:Proto.reply_tag ~phase:"reply" ~size:(n_ranks * word)
               (Proto.Reply (id, ranks));
             rx_sel := 1 - !rx_sel
       done)

@@ -1,23 +1,31 @@
 (** The slave side of the Method C family: a cache-resident partition
-    index plus the serving loop, shared by the flat ({!Method_c}) and
-    hierarchical ({!Method_c_hier}) dispatch topologies. *)
+    index plus the serving loop that {!Method_c} spawns on every slave,
+    whatever the work source (query batch, open-loop arrivals, op
+    stream) and dispatch topology (masters or a router tier). *)
 
 type index
-(** A built slave-side index: CSB+ tree (C-1), buffered n-ary tree (C-2)
-    or sorted array (C-3). *)
+(** A built slave-side index: CSB+ tree (C-1), buffered n-ary tree (C-2),
+    sorted array (C-3), or a log-structured {!Index.Segments} partition
+    that also applies updates. *)
 
 val build :
+  ?policy:Index.Segments.policy ->
   Methods.id ->
   Machine.t ->
   int array ->
   batch_keys:int ->
   params:Cachesim.Mem_params.t ->
   index
-(** Build the structure for the given sub-method over the slice of keys.
-    Raises [Invalid_argument] for methods [A]/[B]. *)
+(** Build the structure for the given sub-method over the slice of keys;
+    with [?policy], a {!Index.Segments} partition under that merge
+    policy for every C variant.  Raises [Invalid_argument] for methods
+    [A]/[B]. *)
 
 val overflow_flushes : index -> int
 (** Early buffer drains (C-2 only; 0 otherwise). *)
+
+val segments : index -> Index.Segments.t option
+(** The dynamic partition of a [?policy] index. *)
 
 val spawn :
   Simcore.Engine.t ->
@@ -37,7 +45,9 @@ val spawn :
     upstream dispatcher in arrival order, DMA them into a rotating pair
     of receive buffers, answer against the partition index, and ship the
     local ranks as a [Reply] (same batch id) to [reply_dst ~src] where
-    [src] is the sender of the data batch.  The process exits after
+    [src] is the sender of the data batch.  A {!Index.Segments} index
+    reads the batch as {!Proto} op words: updates apply in order and
+    only the queries' ranks are shipped.  The process exits after
     [terms_expected] [Term] messages.  Each message charges
     [overhead_ns] of CPU on receive and on reply.
 

@@ -1,7 +1,6 @@
 (** Log-structured dynamic index: immutable sorted base run plus
     in-memory delta segments with inserts and tombstone deletes
-    (ROADMAP item 2, after Asadi & Lin's incremental in-memory
-    indexing).
+    (after Asadi & Lin's incremental in-memory indexing).
 
     Updates append to an active log; at [seg_capacity] entries the log
     is sealed into a sorted tier-0 segment, [merge_threshold] same-tier

@@ -35,9 +35,9 @@ let n_slaves = sc.Workload.Scenario.n_nodes - 1
 (* The router tier over the ci slave pool, as `ablation hierarchy`
    builds it. *)
 let hier ?faults routers =
-  Method_c_hier.run
+  Method_c.run ?faults ~routers
     (Workload.Scenario.with_nodes (1 + routers + n_slaves) sc)
-    ~routers ?faults ~variant:Methods.C3 ~keys ~queries ()
+    ~variant:Methods.C3 ~keys ~queries
 
 let hier_runs =
   [

@@ -69,6 +69,11 @@ let test_partition_bounds_and_slices () =
     total := !total + len
   done;
   check_int "cover all keys" 103 !total;
+  (* The same near-equal split, as masters' query chunks and router
+     groups use it. *)
+  Alcotest.(check (array int))
+    "split" [| 0; 26; 52; 78; 103 |]
+    (Dispatch.Partition.split 103 ~parts:4);
   (* Slices concatenate back to the original array. *)
   let concat =
     Array.concat (List.init 4 (fun s -> Dispatch.Partition.slice p s))
@@ -408,7 +413,13 @@ let prop_partition_reassembles =
         Array.concat
           (List.init parts (fun s -> Dispatch.Partition.slice p s))
       in
-      concat = keys)
+      let bounds = Dispatch.Partition.split n ~parts in
+      concat = keys
+      && Array.length bounds = parts + 1
+      && bounds.(parts) = n
+      && List.for_all
+           (fun s -> bounds.(s) = Dispatch.Partition.base p s)
+           (List.init parts Fun.id))
 
 let prop_owner_consistent_with_rank =
   QCheck.Test.make ~name:"owner's slice contains the query's rank" ~count:100

@@ -252,7 +252,7 @@ let test_hier_correct_all_variants () =
   List.iter
     (fun v ->
       let r =
-        Dispatch.Method_c_hier.run sc ~routers:2 ~variant:v ~keys ~queries ()
+        Dispatch.Method_c.run sc ~routers:2 ~variant:v ~keys ~queries
       in
       check_int
         (Printf.sprintf "hier %s correct" (Dispatch.Methods.to_string v))
@@ -265,8 +265,8 @@ let test_hier_byte_accounting () =
   let keys, queries = Lazy.force workload in
   let sc = { sc with Workload.Scenario.n_nodes = 8 } in
   let r =
-    Dispatch.Method_c_hier.run sc ~routers:2 ~variant:Dispatch.Methods.C3
-      ~keys ~queries ()
+    Dispatch.Method_c.run sc ~routers:2 ~variant:Dispatch.Methods.C3
+      ~keys ~queries
   in
   check_int "3 hops x 4 bytes" (3 * sc.Workload.Scenario.n_queries * 4)
     r.Dispatch.Run_result.bytes_sent
@@ -276,9 +276,9 @@ let test_hier_response_above_flat () =
   let keys, queries = Lazy.force workload in
   let flat = run Dispatch.Methods.C3 in
   let hier =
-    Dispatch.Method_c_hier.run
+    Dispatch.Method_c.run
       { sc with Workload.Scenario.n_nodes = 8 }
-      ~routers:2 ~variant:Dispatch.Methods.C3 ~keys ~queries ()
+      ~routers:2 ~variant:Dispatch.Methods.C3 ~keys ~queries
   in
   check_bool "tree adds response time" true
     (hier.Dispatch.Run_result.mean_response_ns
@@ -291,25 +291,25 @@ let test_hier_bad_configs () =
   in
   check_bool "zero routers" true
     (bad (fun () ->
-         Dispatch.Method_c_hier.run sc ~routers:0 ~variant:Dispatch.Methods.C3
-           ~keys ~queries ()));
+         Dispatch.Method_c.run sc ~routers:0 ~variant:Dispatch.Methods.C3
+           ~keys ~queries));
   check_bool "more routers than slaves" true
     (bad (fun () ->
-         Dispatch.Method_c_hier.run
+         Dispatch.Method_c.run
            { sc with Workload.Scenario.n_nodes = 6 }
-           ~routers:4 ~variant:Dispatch.Methods.C3 ~keys ~queries ()));
+           ~routers:4 ~variant:Dispatch.Methods.C3 ~keys ~queries));
   check_bool "variant A" true
     (bad (fun () ->
-         Dispatch.Method_c_hier.run
+         Dispatch.Method_c.run
            { sc with Workload.Scenario.n_nodes = 8 }
-           ~routers:2 ~variant:Dispatch.Methods.A ~keys ~queries ()))
+           ~routers:2 ~variant:Dispatch.Methods.A ~keys ~queries))
 
 let test_hier_determinism () =
   let keys, queries = Lazy.force workload in
   let sc = { sc with Workload.Scenario.n_nodes = 8 } in
   let go () =
-    (Dispatch.Method_c_hier.run sc ~routers:2 ~variant:Dispatch.Methods.C3
-       ~keys ~queries ())
+    (Dispatch.Method_c.run sc ~routers:2 ~variant:Dispatch.Methods.C3
+       ~keys ~queries)
       .Dispatch.Run_result.total_ns
   in
   check_bool "bit-identical" true (go () = go ())

@@ -449,9 +449,9 @@ let test_hier_crash_failover () =
   in
   let keys, queries = Dispatch.Runner.workload sc in
   let r =
-    Dispatch.Method_c_hier.run sc ~routers:2
+    Dispatch.Method_c.run sc ~routers:2
       ~faults:(parse_exn "crash:node=5,at=5e4")
-      ~variant:Dispatch.Methods.C3 ~keys ~queries ()
+      ~variant:Dispatch.Methods.C3 ~keys ~queries
   in
   check_int "no validation errors" 0 r.Dispatch.Run_result.validation_errors;
   check_bool "run degraded" true

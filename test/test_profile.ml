@@ -196,8 +196,8 @@ let test_hier_conserved () =
   let p = Obs.Profile.create () in
   let r =
     Obs.Profile.with_recording p (fun () ->
-        Dispatch.Method_c_hier.run sc ~routers:2 ~variant:Dispatch.Methods.C3
-          ~keys ~queries ())
+        Dispatch.Method_c.run sc ~routers:2 ~variant:Dispatch.Methods.C3
+          ~keys ~queries)
   in
   check_int "hier run valid" 0 r.Dispatch.Run_result.validation_errors;
   Obs.Profile.finalize p ~total_ns:r.Dispatch.Run_result.raw_ns;
