@@ -239,6 +239,11 @@ let drive ?faults (sc : Workload.Scenario.t) ~source ~routers ~variant ~keys
       Machine.labelled_alloc m ~label:"queries" (max 1 (Array.length words))
     in
     Machine.poke_array m q_base words;
+    (* Each destination's staging buffer holds batch/width keys and is
+       shipped the moment it fills, so messages flow continuously and
+       dispatch stays pipelined with slave lookups at every batch size —
+       the paper's Figure 3 stays flat up to 4 MB batches with only ~20%
+       slave idle time, which rules out any flush barrier. *)
     let width = if routers > 0 then routers else n_slaves in
     let stage, flush_all =
       stager m ~src:mi ~home:mi ~width
