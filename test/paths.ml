@@ -1,8 +1,11 @@
-(* Exact fingerprints of the Method C runs no other golden pins: the
-   router tier, several masters, multi-master serving and the dynamic
-   op stream under a crash.  Every float prints in hex ([%h]), so any
-   drift in simulated cost, response time or accounting shows as a
-   diff against c-paths.golden.txt.  Run with
+(* Exact fingerprints of the driver paths no other golden pins.  For
+   Method C: the router tier, several masters, multi-master serving and
+   the dynamic op stream under a crash.  For methods A and B: batch
+   response times and overflow flushes, the tail entries of profiled
+   batch runs, the op stream, dynamic serving over two worker domains,
+   and B's greedy multi-query serving batches.  Every float prints in
+   hex ([%h]), so any drift in simulated cost, response time or
+   accounting shows as a diff against paths.golden.txt.  Run with
      dune build @runtest
    and promote an intentional change with `dune promote`. *)
 
@@ -93,12 +96,10 @@ let serve_runs =
       fun () -> serve ~faults:(parse_faults "crash:node=3,at=1e6") 2);
   ]
 
+let updates =
+  match Workload.Mutation.parse "0.2" with Ok u -> u | Error e -> failwith e
+
 let dynamic ?faults variant =
-  let updates =
-    match Workload.Mutation.parse "0.2" with
-    | Ok u -> u
-    | Error e -> failwith e
-  in
   let r, st = Dynamic.run ?faults sc ~updates ~method_id:variant in
   ( r,
     Printf.sprintf " lost_updates=%d applied=%d noops=%d seals=%d merges=%d"
@@ -112,6 +113,71 @@ let dynamic_runs =
     ("dynamic C-2 u=0.2", fun () -> dynamic Methods.C2);
   ]
 
+(* --- Methods A and B. *)
+
+let replicated method_id =
+  let r = Runner.run sc ~method_id ~keys ~queries in
+  (r, Printf.sprintf " overflow_flushes=%d" r.Run_result.overflow_flushes)
+
+(* The kept tail of a profiled run: id, response, batch size and the
+   breakdown in component order. *)
+let profiled method_id =
+  let p = Obs.Profile.create () in
+  let r =
+    Obs.Profile.with_recording p (fun () ->
+        Runner.run sc ~method_id ~keys ~queries)
+  in
+  let entry (e : Obs.Tail.entry) =
+    Printf.sprintf " [id=%d ns=%h batch=%d%s]" e.Obs.Tail.id e.Obs.Tail.ns
+      e.Obs.Tail.batch
+      (String.concat ""
+         (List.map
+            (fun (k, v) -> Printf.sprintf " %s=%h" k v)
+            (List.sort compare e.Obs.Tail.breakdown)))
+  in
+  ( r,
+    " tail:"
+    ^ String.concat "" (List.map entry (Obs.Tail.worst (Obs.Profile.tail p))) )
+
+let serve_line (rep : Serve.report) =
+  let s = rep.Serve.serving in
+  ( rep.Serve.run,
+    Printf.sprintf
+      " completed=%d serve_mean=%h serve_p95=%h queue=%h overflow_flushes=%d"
+      s.Run_result.completed s.Run_result.mean_ns s.Run_result.p95_ns
+      s.Run_result.mean_queue_ns rep.Serve.run.Run_result.overflow_flushes )
+
+(* Dynamic serving: every node replays the update stream, over two
+   worker domains. *)
+let dynamic_serve_a () =
+  let arrival = Workload.Arrival.poisson 2e5 in
+  let keys, queries, arrivals, ops = Serve.workload ~updates sc ~arrival in
+  serve_line
+    (Serve.run_method ~jobs:2 ~updates ~ops sc ~arrival ~slo_ns:1e6
+       ~method_id:Methods.A ~keys ~queries ~arrivals)
+
+(* Past B's per-node service rate, so arrivals queue and the greedy
+   batcher drains several queries per pass. *)
+let serve_b_loaded () =
+  let sc = Workload.Scenario.with_duration 2e6 sc in
+  let arrival = Workload.Arrival.poisson 2e7 in
+  let keys, queries, arrivals, _ = Serve.workload sc ~arrival in
+  serve_line
+    (Serve.run_method sc ~arrival ~slo_ns:1e6 ~method_id:Methods.B ~keys
+       ~queries ~arrivals)
+
+let replicated_runs =
+  [
+    ("batch A", fun () -> replicated Methods.A);
+    ("batch B", fun () -> replicated Methods.B);
+    ("batch A profiled", fun () -> profiled Methods.A);
+    ("batch B profiled", fun () -> profiled Methods.B);
+    ("dynamic A u=0.2", fun () -> dynamic Methods.A);
+    ("dynamic B u=0.2", fun () -> dynamic Methods.B);
+    ("serve A u=0.2 poisson:2e5 jobs=2", dynamic_serve_a);
+    ("serve B poisson:2e7 duration=2e6", serve_b_loaded);
+  ]
+
 let () =
   List.iter
     (fun (label, run) -> fingerprint label (run ()) "")
@@ -120,4 +186,4 @@ let () =
     (fun (label, run) ->
       let r, extra = run () in
       fingerprint label r extra)
-    (serve_runs @ dynamic_runs)
+    (serve_runs @ dynamic_runs @ replicated_runs)
