@@ -1,16 +1,16 @@
 (** Dynamic-index method drivers: the batch methods re-run over a
     log-structured {!Index.Segments} index with an interleaved
-    update/query stream from {!Workload.Mutation}.
+    update/query stream from {!Workload.Mutation}, as the op-stream work
+    source of each method's one driver.
 
-    Methods A and B apply updates locally on the replicated node and
-    eat the cache dirtying; the cluster-time normalization divides only
-    the query work by [n_nodes] (replicated update work runs on every
-    node).  The Method C family runs the stream as the op-stream work
-    source of the one Method C driver ({!Method_c.run_ops}): each update
-    is forwarded to the owning slave's partition, master-mediated like
-    query dispatch (phase ["update_forward"]), with the slave partitions
-    held as dynamic [Segments] over the static delimiter ranges for
-    every C variant.
+    Methods A and B ({!Replicated.run_ops}) apply updates locally on
+    the replicated node and eat the cache dirtying; the cluster-time
+    normalization divides only the query work by [n_nodes] (replicated
+    update work runs on every node).  The Method C family
+    ({!Method_c.run_ops}) forwards each update to the owning slave's
+    partition, master-mediated like query dispatch (phase
+    ["update_forward"]), with the slave partitions held as dynamic
+    [Segments] over the static delimiter ranges for every C variant.
 
     Every returned rank is validated against a {!Index.Ref_impl.Dyn}
     oracle replayed to the same stream point — never silently wrong.

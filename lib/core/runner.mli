@@ -1,4 +1,6 @@
-(** Uniform entry point: run any of the five methods on a scenario. *)
+(** Uniform entry point: run any of the five methods on a scenario,
+    A and B through {!Replicated.run}, the C family through
+    {!Method_c.run}. *)
 
 val run :
   ?faults:Fault.Spec.t ->

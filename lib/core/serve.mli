@@ -1,6 +1,6 @@
 (** Online serving drivers: open-loop query streams with SLO accounting.
 
-    The batch drivers ({!Method_a}, {!Method_b}, {!Method_c}) answer the
+    The batch drivers ({!Replicated.run}, {!Method_c.run}) answer the
     paper's question — how fast can each method drain a fixed query
     set — but they cannot show what a query {e experiences} under load:
     a query that arrives while the engine is behind waits, and that
@@ -10,9 +10,10 @@
     delivery, and roll the response-time distribution up against an SLO
     budget ({!Run_result.serving}).
 
-    Methods A and B run here, one engine per node.  The Method C family
-    runs as the open-loop work source of the one Method C driver
-    ({!Method_c.serve}), arrivals dealt round robin over the masters.
+    Every method runs as the open-loop work source of its one driver:
+    A and B through {!Replicated.serve}, arrivals dealt round robin over
+    the nodes, one engine epoch each; the Method C family through
+    {!Method_c.serve}, arrivals dealt round robin over the masters.
 
     What serving exposes that batch sweeps cannot: Method C funnels
     every query through its master's dispatch loop and NIC, so past the
@@ -75,20 +76,16 @@ val run_method :
     rollup (always at four windows), with or without [timeline].
 
     [?ops] (with the [?updates] spec that generated it) switches
-    method A to dynamic serving over a log-structured {!Index.Segments}
-    replica: every node applies every update in stream order (updates
-    are replicated work) and serves its own round-robin share of the
-    queries, with answers checked online against a replayed
-    {!Index.Ref_impl.Dyn} oracle.  Methods B and the C family reject a
-    non-empty op stream with [Invalid_argument] — their dynamic
-    behaviour lives in the batch {!Dynamic} drivers.
+    method A to dynamic serving over log-structured replicas that every
+    node updates in stream order (see {!Replicated.serve}).  Methods B
+    and the C family reject a non-empty op stream with
+    [Invalid_argument] — their dynamic behaviour lives in the batch
+    {!Dynamic} drivers.
 
     [jobs] (default 1) runs Methods A and B's independent node epochs
-    on that many worker domains; outputs are byte-identical at any
-    value because every per-node accumulator is merged in node-index
-    order.  Runs with a profiler, tracer or cache microscope installed
-    stay sequential (the recorders are domain-local), as does the
-    Method C family (its nodes exchange messages through one engine). *)
+    on that many worker domains, byte-identically at any value (see
+    {!Replicated.serve}); the Method C family stays on one engine (its
+    nodes exchange messages). *)
 
 val run : Experiment.Spec.t -> report list
 (** One serving run per [spec.methods] entry on a shared workload,

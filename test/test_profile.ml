@@ -233,6 +233,33 @@ let test_tail_in_runs () =
         worst)
     (runs_of rows)
 
+(* The op-stream source is observed like the closed stream: a profiled
+   dynamic A or B run is conserved and its tail carries the CPU split. *)
+let test_dynamic_replicated_observed () =
+  let updates =
+    match Workload.Mutation.parse "0.2" with
+    | Ok u -> u
+    | Error e -> Alcotest.failf "updates: %s" e
+  in
+  List.iter
+    (fun method_id ->
+      let p = Obs.Profile.create () in
+      let r, _ =
+        Obs.Profile.with_recording p (fun () ->
+            Dispatch.Dynamic.run small_scenario ~updates ~method_id)
+      in
+      check_int "dynamic run valid" 0 r.Dispatch.Run_result.validation_errors;
+      Obs.Profile.finalize p ~total_ns:r.Dispatch.Run_result.raw_ns;
+      check_bool "dynamic run conserved" true (Obs.Profile.conserved p);
+      let worst = Obs.Tail.worst (Obs.Profile.tail p) in
+      check_bool "dynamic tail populated" true (worst <> []);
+      List.iter
+        (fun (e : Obs.Tail.entry) ->
+          check_bool "cpu component attributed" true
+            (List.mem_assoc "cpu" e.Obs.Tail.breakdown))
+        worst)
+    [ Dispatch.Methods.A; Dispatch.Methods.B ]
+
 let test_profiles_deterministic_across_jobs () =
   let render_at jobs =
     let rows =
@@ -354,6 +381,8 @@ let () =
             test_hier_conserved;
           Alcotest.test_case "tail inspector populated" `Quick
             test_tail_in_runs;
+          Alcotest.test_case "dynamic A/B observed" `Quick
+            test_dynamic_replicated_observed;
           Alcotest.test_case "deterministic across jobs" `Quick
             test_profiles_deterministic_across_jobs;
         ] );
