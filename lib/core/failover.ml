@@ -39,34 +39,38 @@ let create plan ~timeout_default ~nodes =
 
 let plan t = t.plan
 let timeout_ns t = t.timeout_ns
-let is_dead t node = t.dead.(node)
 let note_finish t ~now = if now > t.finish_at then t.finish_at <- now
 let finish_at t = t.finish_at
 
 let sweep t ~now ~in_flight ~resend ~redispatch =
+  let is_stale p = now -. p.sent_at >= t.timeout_ns in
   (* Collect-and-sort so the outcome does not depend on hash-table
      iteration order. *)
   let stale =
     Hashtbl.fold
-      (fun id p acc ->
-        if now -. p.sent_at >= t.timeout_ns then (id, p) :: acc else acc)
+      (fun id p acc -> if is_stale p then (id, p) :: acc else acc)
       in_flight []
   in
   let stale = List.sort (fun (a, _) (b, _) -> compare a b) stale in
+  (* [redispatch] can suspend this target (the fallback lookup syncs its
+     master), letting another target's sweep re-send or redispatch
+     entries of this list first: act only on an entry still in flight
+     and still stale when its turn comes. *)
   List.iter
     (fun (id, p) ->
-      if (not t.dead.(p.dst)) && p.attempts < t.max_retries then begin
-        p.attempts <- p.attempts + 1;
-        p.sent_at <- now;
-        t.retries <- t.retries + 1;
-        resend id p
-      end
-      else begin
-        t.dead.(p.dst) <- true;
-        Hashtbl.remove in_flight id;
-        t.redispatches <- t.redispatches + 1;
-        redispatch id p
-      end)
+      if Hashtbl.mem in_flight id && is_stale p then
+        if (not t.dead.(p.dst)) && p.attempts < t.max_retries then begin
+          p.attempts <- p.attempts + 1;
+          p.sent_at <- now;
+          t.retries <- t.retries + 1;
+          resend id p
+        end
+        else begin
+          t.dead.(p.dst) <- true;
+          Hashtbl.remove in_flight id;
+          t.redispatches <- t.redispatches + 1;
+          redispatch id p
+        end)
     stale
 
 let note_fallback t n = t.fallback_lookups <- t.fallback_lookups + n
@@ -75,8 +79,6 @@ let note_lost t ~queries =
   t.lost_batches <- t.lost_batches + 1;
   t.lost_queries <- t.lost_queries + queries
 
-let retries t = t.retries
-let redispatches t = t.redispatches
 
 let degraded t =
   let stats = Fault.Plan.stats t.plan in

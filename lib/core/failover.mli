@@ -32,7 +32,6 @@ val create : Fault.Plan.t -> timeout_default:float -> nodes:int -> t
 
 val plan : t -> Fault.Plan.t
 val timeout_ns : t -> float
-val is_dead : t -> int -> bool
 
 val note_finish : t -> now:float -> unit
 (** Record a completion time; {!finish_at} keeps the maximum.  Degraded
@@ -56,16 +55,15 @@ val sweep :
     retry budget is exhausted the destination is declared dead, the
     entry is removed, and [redispatch] is called — as it also is,
     immediately, for every stale batch addressed to an already-dead
-    node. *)
+    node.  An entry that an interleaved sweep (another target's, run
+    while this one was suspended in [redispatch]) has already re-sent or
+    removed is skipped when its turn comes. *)
 
 val note_fallback : t -> int -> unit
 (** [n] queries resolved by the master's local lookup. *)
 
 val note_lost : t -> queries:int -> unit
 (** One batch abandoned, losing [queries] queries. *)
-
-val retries : t -> int
-val redispatches : t -> int
 
 val degraded : t -> Run_result.degraded
 (** Roll up the failover counters and the plan's injection stats. *)

@@ -497,6 +497,81 @@ let test_tail_counts_total_latency_for_retried () =
         (List.assoc "redispatch" e.Obs.Tail.breakdown = e.Obs.Tail.ns))
     redispatched
 
+(* Several masters under a crash: the targets' failover sweeps
+   interleave across the fallback's sync, and a batch must still be
+   resolved once.  Every query of the dead slave's partition that the
+   slave did not answer is resolved by failover exactly once, so
+   [fallback_lookups + lost_queries] is the partition's query count when
+   the slave never answers.  Counts are over the ci workloads. *)
+let dead_partition_queries ~keys ~n_slaves ~dead queries ~admitted =
+  let part = Dispatch.Partition.make ~keys ~parts:n_slaves in
+  let c = ref 0 in
+  Array.iteri
+    (fun i q ->
+      if Dispatch.Partition.owner part q = dead && admitted i then incr c)
+    queries;
+  !c
+
+let resolved_by_failover (r : Dispatch.Run_result.t) =
+  let d = r.Dispatch.Run_result.degraded in
+  d.Dispatch.Run_result.fallback_lookups + d.Dispatch.Run_result.lost_queries
+
+let test_multi_master_failover_once () =
+  let sc = Workload.Scenario.ci in
+  let n_slaves = sc.Workload.Scenario.n_nodes - 1 in
+  (* Batch: three masters over five slaves; slave 1 (node 4) dies before
+     it replies to anything. *)
+  let keys, queries = Dispatch.Runner.workload sc in
+  let r =
+    Dispatch.Runner.run ~faults:(parse_exn "crash:node=4,at=5e4")
+      (sc
+      |> Workload.Scenario.with_masters 3
+      |> Workload.Scenario.with_nodes (n_slaves + 3))
+      ~method_id:Dispatch.Methods.C3 ~keys ~queries
+  in
+  check_int "batch: no validation errors" 0
+    r.Dispatch.Run_result.validation_errors;
+  check_int "batch: dead partition resolved once"
+    (dead_partition_queries ~keys ~n_slaves ~dead:1 queries
+       ~admitted:(fun _ -> true))
+    (resolved_by_failover r);
+  check_int "batch: every query answered once"
+    (Array.length queries) (answered r);
+  (* Serving: two masters over four slaves; slave 1 is node 3. *)
+  let sc = Workload.Scenario.with_masters 2 sc in
+  let arrival = Workload.Arrival.poisson 2e5 in
+  let keys, queries, arrivals, _ = Dispatch.Serve.workload sc ~arrival in
+  let serve at =
+    let rep =
+      Dispatch.Serve.run_method
+        ~faults:(parse_exn ("crash:node=3,at=" ^ at))
+        sc ~arrival ~slo_ns:1e6 ~method_id:Dispatch.Methods.C3 ~keys ~queries
+        ~arrivals
+    in
+    let r = rep.Dispatch.Serve.run in
+    check_int "serve: no validation errors" 0
+      r.Dispatch.Run_result.validation_errors;
+    check_int "serve: every arrival delivered once" (Array.length arrivals)
+      (answered r);
+    check_int "serve: every arrival completed" (Array.length arrivals)
+      rep.Dispatch.Serve.serving.Dispatch.Run_result.completed;
+    r
+  in
+  let dead ~after =
+    dead_partition_queries ~keys ~n_slaves:(n_slaves - 1) ~dead:1 queries
+      ~admitted:(fun i -> arrivals.(i) >= after)
+  in
+  (* Dead from the start: the slave never answers. *)
+  check_int "serve: dead partition resolved once" (dead ~after:0.0)
+    (resolved_by_failover (serve "0"));
+  (* The golden's crash at 1 ms: the slave answered part of its share
+     first, and everything admitted after the crash must fail over. *)
+  let k = resolved_by_failover (serve "1e6") in
+  check_bool "serve: failover covers every later arrival" true
+    (k >= dead ~after:1e6);
+  check_bool "serve: failover resolves no query twice" true
+    (k <= dead ~after:0.0)
+
 let () =
   Alcotest.run "faults"
     [
@@ -535,5 +610,7 @@ let () =
             test_hier_crash_failover;
           Alcotest.test_case "tail counts total retried latency" `Quick
             test_tail_counts_total_latency_for_retried;
+          Alcotest.test_case "multi-master failover resolves once" `Quick
+            test_multi_master_failover_once;
         ] );
     ]
