@@ -51,9 +51,8 @@ let make_node (sc : Workload.Scenario.t) ~name ~method_id ~policy ~prof
   let replica =
     match policy with
     | Some policy ->
-        Log
-          ( Index.Segments.create m ~policy keys,
-            Index.Ref_impl.Dyn.create keys )
+        let seg = Index.Segments.create m ~policy keys in
+        Log (seg, Index.Ref_impl.Dyn.create keys)
     | None -> (
         let lo = Machine.words_allocated m in
         let tree = Index.Nary_tree.build m keys in
