@@ -244,7 +244,9 @@ let note_tail nd ~qid ~batch ~arrived ~started ~finished =
   | _ -> ()
 
 (* Node [node] serves global arrivals [node, node+n_nodes, ...], slot [j]
-   holding arrival [node + j*n_nodes].  One group starts at slot [pos]:
+   holding arrival [node + j*n_nodes]: round robin keeps every node busy
+   through the whole horizon, where a contiguous split would leave all
+   but one idle at any moment.  One group starts at slot [pos]:
    wait for its arrival, take every later slot that has arrived
    meanwhile (up to [cap]), answer them in one pass and deliver every
    member when the pass ends.  Returns the next slot. *)
@@ -282,7 +284,8 @@ let serve_group nd ~cap ~every ~n_nodes ~node sv pos =
 (* A serves groups of one, sampling residency every 64th query; B's
    batches are singletons at low load and grow, amortizing, as load
    rises.  With a stream, every node walks all of it: updates are
-   replicated work, queries are served by their owner only. *)
+   replicated work on the node clock, so a burst of them delays the
+   queries queued behind it; queries are served by their owner only. *)
 let run_open nd ~method_id ~batch_keys ~n_nodes ~node sv stream =
   let cap, every =
     match (method_id : Methods.id) with
@@ -311,7 +314,8 @@ let run_open nd ~method_id ~batch_keys ~n_nodes ~node sv stream =
    recording, on its own domain.  Every accumulator is kept per node
    and merged in node-index order afterwards, so the merged result is
    one canonical value however the epochs were scheduled: any [jobs]
-   value gives byte-identical output. *)
+   value gives byte-identical output.  The serving timestamps need no
+   merge: nodes fill them at disjoint indices. *)
 
 (* Ambient recorders are domain-local: a worker domain would not see
    the profiler/tracer/scope installed on the caller, so instrumented
