@@ -202,22 +202,26 @@ let run_closed nd ~method_id ~batch_keys ~ops ~n =
       timed_pass nd ~pos ~len
     end
   in
-  let query qi =
-    if a then timed_lookup nd qi
+  for i = 0 to (match ops with None -> n | Some o -> Array.length o) - 1 do
+    (* The item's query slot, or [-1] for an update. *)
+    let qi =
+      match ops with
+      | None -> i
+      | Some o -> (
+          match o.(i) with
+          | Workload.Mutation.Query qi -> qi
+          | op ->
+              update nd op;
+              -1)
+    in
+    if qi < 0 then ()
+    else if a then timed_lookup nd qi
     else begin
       if qi <> !first + !blen then
         invalid_arg "Replicated: op stream queries out of order";
       incr blen;
       if !blen = batch_keys then flush ()
-    end
-  in
-  for i = 0 to (match ops with None -> n | Some o -> Array.length o) - 1 do
-    (match ops with
-    | None -> query i
-    | Some o -> (
-        match o.(i) with
-        | Workload.Mutation.Query qi -> query qi
-        | op -> update nd op));
+    end;
     if a && i land 8191 = 8191 then begin
       Machine.sync nd.m;
       Machine.sample_residency nd.m
@@ -292,18 +296,17 @@ let run_open nd ~method_id ~batch_keys ~n_nodes ~node sv stream =
     | Methods.B -> (batch_keys, 1)
     | Methods.A | Methods.C1 | Methods.C2 | Methods.C3 -> (1, 64)
   in
-  let serve pos = serve_group nd ~cap ~every ~n_nodes ~node sv pos in
   match stream with
   | None ->
       let pos = ref 0 in
       while !pos < Array.length nd.queries do
-        pos := serve !pos
+        pos := serve_group nd ~cap ~every ~n_nodes ~node sv !pos
       done
   | Some s ->
       for i = 0 to Array.length s.ops - 1 do
         match s.ops.(i) with
         | Workload.Mutation.Query qid when qid mod n_nodes = node ->
-            ignore (serve (qid / n_nodes))
+            ignore (serve_group nd ~cap ~every ~n_nodes ~node sv (qid / n_nodes))
         | Workload.Mutation.Query _ -> ()
         | op -> update nd op
       done
