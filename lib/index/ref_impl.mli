@@ -13,9 +13,13 @@ val partition_of : delimiters:int array -> int -> int
     contains it: with [p] delimiters (the least key of partitions
     [1..p]), the result is in [\[0, p\]]. *)
 
-(** Dynamic oracle: a growable sorted array with O(n) insert/delete —
-    the naive reference the log-structured {!Segments} index is
-    cross-validated against, op for op. *)
+(** Dynamic oracle: the live keys in sorted blocks of at most 1024,
+    indexed by each block's first key and a prefix count — the reference
+    the log-structured {!Segments} index is cross-validated against, op
+    for op.  [rank] and [mem] cost O(log n).  An update rebuilds one
+    block and the O(n / 512) block index; a block that overflows or
+    empties re-cuts the whole set, in O(n), into blocks of 256 to 512
+    keys. *)
 module Dyn : sig
   type t
 

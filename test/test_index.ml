@@ -44,6 +44,73 @@ let test_ref_partition_of () =
   check_int "p1" 1 (Index.Ref_impl.partition_of ~delimiters 150);
   check_int "p3" 3 (Index.Ref_impl.partition_of ~delimiters 999)
 
+(* [Ref_impl.Dyn] against a [Set.Make (Int)] model over one op stream:
+   [size], [rank], [mem] and [to_sorted_array] are checked after every
+   op.  The stream is built to reach each structural case: it drains the
+   set (so blocks empty, the last one at the final delete), then refills
+   it from empty with more than [2 * 512] distinct keys and no deletes
+   (all land in the one block, so it overflows), then churns inside that
+   key range.  With [start_empty] the set is created from [[||]]. *)
+let dyn_agrees_with_set ~seed ~start_empty =
+  let module IS = Set.Make (Int) in
+  let module D = Index.Ref_impl.Dyn in
+  let g = Prng.Splitmix.create seed in
+  let n0 = if start_empty then 0 else 1 + Prng.Splitmix.int g 2500 in
+  let rec draw s =
+    if IS.cardinal s = n0 then s else draw (IS.add (Prng.Splitmix.int g 8192) s)
+  in
+  let model = ref (draw IS.empty) in
+  let t = D.create (Array.of_list (IS.elements !model)) in
+  let ok = ref true in
+  let check q =
+    ok :=
+      !ok
+      && D.size t = IS.cardinal !model
+      && D.rank t q = IS.cardinal (IS.filter (fun k -> k <= q) !model)
+      && D.mem t q = IS.mem q !model
+      && Array.to_list (D.to_sorted_array t) = IS.elements !model
+  in
+  let insert k =
+    ok := !ok && D.insert t k = not (IS.mem k !model);
+    model := IS.add k !model;
+    check k
+  in
+  let delete k =
+    ok := !ok && D.delete t k = IS.mem k !model;
+    model := IS.remove k !model;
+    check k
+  in
+  let mixed ~lo ~width ~ops =
+    for _ = 1 to ops do
+      let k = lo + Prng.Splitmix.int g width in
+      match Prng.Splitmix.int g 4 with
+      | 0 -> insert k
+      | 1 -> delete k
+      | _ -> check k
+    done
+  in
+  check 0;
+  mixed ~lo:0 ~width:8192 ~ops:300;
+  let live = Array.of_list (IS.elements !model) in
+  Prng.Splitmix.shuffle g live;
+  Array.iter delete live;
+  let lo = Prng.Splitmix.int g 8192 in
+  while IS.cardinal !model <= 2 * 512 do
+    insert (lo + Prng.Splitmix.int g 3000)
+  done;
+  mixed ~lo ~width:3000 ~ops:1500;
+  !ok
+
+let test_dyn_empty_start () =
+  check_bool "Dyn = Set model from an empty set" true
+    (dyn_agrees_with_set ~seed:3 ~start_empty:true)
+
+let prop_dyn_matches_set =
+  QCheck.Test.make ~name:"Dyn = Set model under insert/delete/rank/mem"
+    ~count:10
+    QCheck.(pair small_int bool)
+    (fun (seed, start_empty) -> dyn_agrees_with_set ~seed ~start_empty)
+
 (* ------------------------------------------------------------------ *)
 (* Key *)
 
@@ -458,6 +525,8 @@ let () =
         [
           tc "rank basics" `Quick test_ref_rank_basics;
           tc "partition_of" `Quick test_ref_partition_of;
+          tc "dyn empty start" `Quick test_dyn_empty_start;
+          QCheck_alcotest.to_alcotest prop_dyn_matches_set;
         ] );
       ("key", [ tc "validation" `Quick test_key_validation ]);
       ( "sorted_array",
