@@ -26,6 +26,31 @@ let test_index_keys_bad_args () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* [index_keys] draws in rounds; the reference draws one key at a time
+   into a set.  At n = 200,000 about 18 draws repeat a key in 2^30, so
+   the rounds path runs more than once.  Both must give the same keys
+   and leave the generator at the same point. *)
+let test_index_keys_draw_equivalence () =
+  let module IS = Set.Make (Int) in
+  let n = 200_000 in
+  let ga = g () and gb = g () in
+  let keys = Workload.Keygen.index_keys ga ~n in
+  let set = ref IS.empty and distinct = ref 0 and draws = ref 0 in
+  while !distinct < n do
+    let k = Prng.Splitmix.int gb Index.Key.sentinel in
+    if not (IS.mem k !set) then begin
+      set := IS.add k !set;
+      incr distinct
+    end;
+    incr draws
+  done;
+  check_bool "some draws repeat" true (!draws > n);
+  Alcotest.(check (array int))
+    "same keys" (Array.of_list (IS.elements !set)) keys;
+  check_int "same next draw"
+    (Prng.Splitmix.int gb Index.Key.sentinel)
+    (Prng.Splitmix.int ga Index.Key.sentinel)
+
 let test_uniform_queries_in_space () =
   let qs = Workload.Keygen.uniform_queries (g ()) ~n:10_000 in
   Array.iter (fun q -> check_bool "valid key" true (Index.Key.valid q)) qs
@@ -183,6 +208,7 @@ let () =
           tc "deterministic" `Quick test_index_keys_deterministic;
           tc "seed sensitive" `Quick test_index_keys_seed_sensitive;
           tc "bad args" `Quick test_index_keys_bad_args;
+          tc "draw equivalence" `Quick test_index_keys_draw_equivalence;
           tc "uniform in space" `Quick test_uniform_queries_in_space;
           tc "uniform spread" `Quick test_uniform_queries_spread;
           tc "member queries" `Quick test_member_queries_are_members;
