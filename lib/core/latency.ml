@@ -83,7 +83,7 @@ let percentile t p =
   else begin
     if p < 0.0 || p > 1.0 then invalid_arg "Latency.percentile: p outside [0,1]";
     let sorted = Array.sub t.samples 0 t.n_samples in
-    Fsort.sort sorted;
+    Obs.Fsort.sort sorted;
     let idx =
       int_of_float (Float.round (p *. float_of_int (t.n_samples - 1)))
     in

@@ -84,10 +84,12 @@ let exact_quantiles sorted =
 
 (* Same nearest-rank quantiles without sorting: quickselect each index
    in place (the array is scratch).  Identical values to
-   [exact_quantiles (Fsort.sort a; a)]. *)
+   [exact_quantiles (Obs.Fsort.sort a; a)]. *)
 let select_quantiles a =
   let c = Array.length a in
-  let quantile p = if c = 0 then 0.0 else Fsort.select a (rank_index c p) in
+  let quantile p =
+    if c = 0 then 0.0 else Obs.Fsort.select a (rank_index c p)
+  in
   (quantile 0.5, quantile 0.95, quantile 0.99)
 
 let rollup ~arrival ~slo_ns ~cold_until_ns ~(sc : Workload.Scenario.t)
@@ -120,7 +122,7 @@ let rollup ~arrival ~slo_ns ~cold_until_ns ~(sc : Workload.Scenario.t)
   done;
   let c = !completed in
   let sorted = Array.sub resp 0 c in
-  Fsort.sort sorted;
+  Obs.Fsort.sort sorted;
   let p50, p95, p99 = exact_quantiles sorted in
   (* The cold/warm splits only ever surface as quantiles, so selection
      is enough — the k-th order statistic is the same value the full

@@ -1,8 +1,8 @@
 (* Sorting and selection specialised to float arrays.  [Array.sort]
    takes the comparator as a closure, so on a float array every
-   comparison boxes both elements; the rollup paths sort hundreds of
-   thousands of response times per run and that boxing dominated the
-   sort.  Direct [<] comparisons on unsafe float-array reads stay
+   comparison boxes both elements; the arrival merge and the rollup
+   paths sort hundreds of thousands of times per run and that boxing
+   dominated the sort.  Direct [<] comparisons on unsafe float-array reads stay
    unboxed.
 
    None of these are stable, but on a float array equal elements are

@@ -1,8 +1,9 @@
 val sort : float array -> unit
 (** Sort a float array in place, ascending.  Equivalent to
     [Array.sort Float.compare] on NaN-free input (the simulator's
-    response times and latency samples), but with unboxed comparisons —
-    the rollup paths sort hundreds of thousands of elements per run. *)
+    arrival times, response times and latency samples), but with unboxed
+    comparisons — the arrival merge and the rollup paths sort hundreds
+    of thousands of elements per run. *)
 
 val select : float array -> int -> float
 (** [select a k] returns the [k]-th order statistic of [a] (ascending,

@@ -276,26 +276,22 @@ let generate t ~seed ~clients ~duration_ns =
           Array.init clients (fun _ -> Prng.Splitmix.split g)
         in
         let per_client rate = rate /. 1e9 /. float_of_int clients in
-        let stream_of c g =
-          let times =
-            match t.process with
-            | Poisson { rate } ->
-                poisson_stream g ~rate_ns:(per_client rate) ~duration_ns
-            | Mmpp { rate; burst; on_ns; off_ns } ->
-                mmpp_stream g ~rate_ns:(per_client rate) ~burst ~on_ns ~off_ns
-                  ~duration_ns
-            | Diurnal { rate; peak; period_ns } ->
-                diurnal_stream g ~rate_ns:(per_client rate) ~peak ~period_ns
-                  ~duration_ns
-            | Replay _ -> assert false
-          in
-          List.mapi (fun i tm -> (tm, c, i)) times
+        let stream_of g =
+          match t.process with
+          | Poisson { rate } ->
+              poisson_stream g ~rate_ns:(per_client rate) ~duration_ns
+          | Mmpp { rate; burst; on_ns; off_ns } ->
+              mmpp_stream g ~rate_ns:(per_client rate) ~burst ~on_ns ~off_ns
+                ~duration_ns
+          | Diurnal { rate; peak; period_ns } ->
+              diurnal_stream g ~rate_ns:(per_client rate) ~peak ~period_ns
+                ~duration_ns
+          | Replay _ -> assert false
         in
         let all =
-          Array.of_list
-            (List.concat (List.init clients (fun c -> stream_of c streams.(c))))
+          Array.of_list (List.concat_map stream_of (Array.to_list streams))
         in
-        (* Ties (vanishingly rare but possible) break by client then
-           per-client sequence: deterministic merge. *)
-        Array.sort compare all;
-        Array.map (fun (tm, _, _) -> tm) all
+        (* Only the times are kept, and equal times are interchangeable,
+           so the order a sort gives ties does not show. *)
+        Obs.Fsort.sort all;
+        all

@@ -63,8 +63,7 @@ val generate :
     carrying [1/clients] of the offered load (MMPP clients burst
     independently, which is what makes multi-client traffic smoother
     than one bursty client).  Deterministic for a given
-    [(t, seed, clients, duration_ns)]: ties are broken by client id,
-    then per-client sequence.  Replay ignores [clients] and truncates
-    the file's timestamps at [duration_ns].
+    [(t, seed, clients, duration_ns)].  Replay ignores [clients] and
+    truncates the file's timestamps at [duration_ns].
 
     Raises [Failure] when a replay file is missing or malformed. *)
