@@ -2,8 +2,8 @@
    takes the comparator as a closure, so on a float array every
    comparison boxes both elements; the arrival merge and the rollup
    paths sort hundreds of thousands of times per run and that boxing
-   dominated the sort.  Direct [<] comparisons on unsafe float-array reads stay
-   unboxed.
+   dominated the sort.  Direct [<] comparisons on unsafe float-array
+   reads stay unboxed.
 
    None of these are stable, but on a float array equal elements are
    indistinguishable, so the sorted array — and every order statistic

@@ -1,7 +1,7 @@
 let key_space = Index.Key.sentinel
 
-(* LSD radix sort of [a.(0 .. n-1)], keys in [0, 2^30): two passes of
-   15 bits, through [tmp] and back into [a]. *)
+(* LSD radix sort of [a.(0 .. n-1)] over the key space [0, 2^30): two
+   passes of 15 bits, through [tmp] and back into [a]. *)
 let radix_sort (a : int array) (tmp : int array) n =
   let count = Array.make (1 lsl 15 + 1) 0 in
   let pass (src : int array) (dst : int array) shift =
