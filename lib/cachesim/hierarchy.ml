@@ -1,3 +1,5 @@
+open Simcore.Int_compare
+
 type t = {
   p : Mem_params.t;
   l1c : Cache.t;

@@ -91,16 +91,14 @@ let info t =
     fanout = t.f;
   }
 
-(* Child slot: first i with q < separator_i; a full node has no sentinel,
-   in which case the scan runs off the separators and lands on slot k,
-   i.e. the last child. *)
-let child_slot ~read t addr q =
-  let rec scan i = if i = t.k || q < read (addr + i) then i else scan (i + 1) in
-  scan 0
-
-let leaf_count ~read t addr q =
-  let rec scan i = if i = t.k || q < read (addr + i) then i else scan (i + 1) in
-  scan 0
+(* First i < k with q < key_i, else k.  In an inner node that is the
+   child slot: a full node has no sentinel, in which case the scan runs
+   off the separators and lands on slot k, i.e. the last child.  In a
+   leaf it is the count of the leaf's keys <= q.  The annotations keep
+   the key compare an int compare rather than a call to the polymorphic
+   [caml_lessthan], and the top-level recursion allocates no closure. *)
+let rec slot (read : int -> int) k addr (q : int) i =
+  if i = k || q < read (addr + i) then i else slot read k addr q (i + 1)
 
 let node_cost t = (Machine.params t.m).Cachesim.Mem_params.comp_cost_node_ns
 let leaf_index t addr = (addr - t.bases.(t.t_levels - 1)) / t.nw
@@ -110,19 +108,19 @@ let search t q =
   let a = ref t.bases.(0) in
   for _ = 1 to t.t_levels - 1 do
     Machine.compute t.m (node_cost t);
-    let i = child_slot ~read t !a q in
+    let i = slot read t.k !a q 0 in
     let first_child = read (!a + t.k) in
     a := first_child + (i * t.nw)
   done;
   Machine.compute t.m (node_cost t);
-  (leaf_index t !a * t.k) + leaf_count ~read t !a q
+  (leaf_index t !a * t.k) + slot read t.k !a q 0
 
 let search_untimed t q =
   let read = Machine.peek t.m in
   let a = ref t.bases.(0) in
   for _ = 1 to t.t_levels - 1 do
-    let i = child_slot ~read t !a q in
+    let i = slot read t.k !a q 0 in
     let first_child = read (!a + t.k) in
     a := first_child + (i * t.nw)
   done;
-  (leaf_index t !a * t.k) + leaf_count ~read t !a q
+  (leaf_index t !a * t.k) + slot read t.k !a q 0

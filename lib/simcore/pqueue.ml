@@ -17,6 +17,8 @@
    seq), so elements leave in exactly sorted order regardless of arity
    or sifting strategy. *)
 
+open Int_compare
+
 type 'a t = {
   mutable keys : int array;
   mutable seqs : int array;
@@ -94,7 +96,7 @@ let rec sift_hole_up q key seq i =
   end
 
 let push q ~time ~seq x =
-  if q.data = [||] then begin
+  if Array.length q.data = 0 then begin
     (* First element ever: materialise the payload array now that we have a
        value of type ['a] to fill it with. *)
     q.data <- Array.make (Array.length q.keys) x;

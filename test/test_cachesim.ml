@@ -119,10 +119,11 @@ let test_cache_bad_geometry_rejected () =
 
 (* Reference model for the optimized cache: the same LRU semantics
    written with none of the production tricks — separate tag/stamp/dirty
-   arrays instead of the interleaved [meta] array, no way-hint table, no
-   unsafe accesses.  The production fast path must be bit-identical to
-   this over arbitrary operation streams; in particular a hint hit and
-   the full way scan must pick the same slot. *)
+   arrays instead of the interleaved [meta] array, a way scan and a
+   stamp scan for every set instead of the line map and recency list of
+   highly associative sets, no unsafe accesses.  The production cache
+   must be bit-identical to this over arbitrary operation streams; in
+   particular the recency list's LRU end must be the smallest stamp. *)
 module Ref_cache = struct
   type t = {
     sets : int;
@@ -136,6 +137,7 @@ module Ref_cache = struct
     mutable misses : int;
     mutable evictions : int;
     mutable writebacks : int;
+    mutable last_victim : int;
     mutable probe_line : int;
     mutable probe_set : int;
   }
@@ -158,6 +160,7 @@ module Ref_cache = struct
       misses = 0;
       evictions = 0;
       writebacks = 0;
+      last_victim = -1;
       probe_line = -1;
       probe_set = 0;
     }
@@ -202,6 +205,7 @@ module Ref_cache = struct
           !best
       | empty -> empty
     in
+    t.last_victim <- t.tag.(s).(w);
     let wrote_back =
       if t.tag.(s).(w) <> -1 then begin
         t.evictions <- t.evictions + 1;
@@ -218,6 +222,16 @@ module Ref_cache = struct
     t.stamp.(s).(w) <- t.tick;
     t.dirty.(s).(w) <- write;
     wrote_back
+
+  let fill t ~addr ~write =
+    let line = addr lsr t.line_shift in
+    t.probe_line <- line;
+    t.probe_set <- line land (t.sets - 1);
+    fill_probed t ~write
+
+  let resident t ~addr =
+    let line = addr lsr t.line_shift in
+    find_way t (line land (t.sets - 1)) line >= 0
 
   let invalidate t ~addr =
     let line = addr lsr t.line_shift in
@@ -239,63 +253,79 @@ module Ref_cache = struct
     done
 end
 
-(* One random operation against both implementations; [`Access] is the
-   fused hot path (probe, fill on miss) exactly as Hierarchy drives it. *)
+(* One random operation against both implementations: [0] is the fused
+   hot path (probe, fill on miss) exactly as Hierarchy drives it, [1] a
+   bare probe, [2] a standalone [fill] of a line that is not resident,
+   [3] an invalidate and [4] a flush.  Flushes are rare so that between
+   two of them the 64-way geometry fills up and its recency list wraps
+   several times; invalidates leave empty ways in a full cache. *)
 let cache_op_gen =
   QCheck.Gen.(
-    pair (int_range 0 8191) (pair (int_range 0 5) bool)
-    |> map (fun (addr, (op, write)) -> (addr, op, write)))
+    triple (int_range 0 8191)
+      (frequency
+         [ (300, return 0); (50, return 1); (50, return 2); (30, return 3);
+           (1, return 4) ])
+      bool)
 
 let cache_op_print (addr, op, write) =
   Printf.sprintf "(addr=%d, op=%d, write=%b)" addr op write
 
 (* Geometries chosen to cover the production shapes: low-associativity
-   sets (hint table degenerates to one shared slot) and a small
-   fully-associative "TLB" at ways >= 16 (real hint table). *)
+   scanned sets, and indexed sets (ways >= 16, line map plus recency
+   list) — fully associative like the 64-way TLB, and set-associative.
+   The 64-way geometry has 16-byte lines, so the 8 KB address range
+   spans 512 lines, eight times its capacity. *)
 let cache_geometries =
   [
     (1024, 32, 4);    (* 8 sets x 4 ways *)
     (512, 64, 2);     (* 4 sets x 2 ways *)
-    (1024, 64, 16);   (* fully associative, hinted *)
+    (1024, 64, 16);   (* fully associative, indexed *)
+    (1024, 16, 64);   (* fully associative, 64 ways: the TLB's shape *)
+    (2048, 16, 16);   (* 8 sets x 16 ways, indexed *)
   ]
 
 let prop_cache_fast_path_matches_reference =
   QCheck.Test.make ~name:"optimized cache = reference model" ~count:200
     (QCheck.make
        ~print:QCheck.Print.(list cache_op_print)
-       (QCheck.Gen.list_size (QCheck.Gen.int_range 0 400) cache_op_gen))
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 0 1500) cache_op_gen))
     (fun ops ->
       List.for_all
         (fun (size_bytes, line_bytes, ways) ->
           let c = Cache.create ~size_bytes ~line_bytes ~ways () in
           let r = Ref_cache.create ~size_bytes ~line_bytes ~ways in
+          let filled wrote_back wrote_back' =
+            wrote_back = wrote_back'
+            && Cache.last_victim c = r.Ref_cache.last_victim
+          in
           List.for_all
             (fun (addr, op, write) ->
-              match op with
-              | 0 | 1 | 2 ->
-                  (* Fused access+fill, the steady-state path. *)
+              (match op with
+              | 0 ->
                   let h = Cache.probe c ~addr ~write in
                   let h' = Ref_cache.probe r ~addr ~write in
                   h = h'
-                  &&
-                  if h then true
-                  else Cache.fill_probed c ~write = Ref_cache.fill_probed r ~write
-              | 3 -> Cache.probe c ~addr ~write = Ref_cache.probe r ~addr ~write
-              | 4 ->
-                  (* [fill] may only follow a missing probe (a resident
-                     line must not be duplicated into a second way), so
-                     the standalone-fill op checks residency instead. *)
-                  let line = addr lsr r.Ref_cache.line_shift in
-                  Cache.resident c ~addr
-                  = (Ref_cache.find_way r
-                       (line land (r.Ref_cache.sets - 1))
-                       line
-                     >= 0)
+                  && (h
+                     || filled
+                          (Cache.fill_probed c ~write)
+                          (Ref_cache.fill_probed r ~write))
+              | 1 -> Cache.probe c ~addr ~write = Ref_cache.probe r ~addr ~write
+              | 2 ->
+                  (* [fill] may only take a line that is not resident (a
+                     line must not be duplicated into a second way). *)
+                  Ref_cache.resident r ~addr
+                  || filled
+                       (Cache.fill c ~addr ~write)
+                       (Ref_cache.fill r ~addr ~write)
+              | 3 ->
+                  Cache.invalidate c ~addr;
+                  Ref_cache.invalidate r ~addr;
+                  true
               | _ ->
-                  (if write then Cache.flush c else Cache.invalidate c ~addr);
-                  (if write then Ref_cache.flush r
-                   else Ref_cache.invalidate r ~addr);
+                  Cache.flush c;
+                  Ref_cache.flush r;
                   true)
+              && Cache.resident c ~addr = Ref_cache.resident r ~addr)
             ops
           &&
           let s = Cache.stats c in
