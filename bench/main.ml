@@ -450,9 +450,12 @@ let run_throughput ~path ~label =
      namespace: it is what `--throughput-smoke` (the @bench-throughput
      alias) compares freshly measured smoke cells against, so promoting
      a trajectory entry re-baselines the CI advisory in the same
-     commit. *)
+     commit.  It is a best of 3 like the full pass: the alias's one
+     fresh reading is compared against it, and a reference taken from a
+     single reading would carry that reading's noise into every check. *)
   let smoke =
-    Dispatch.Throughput.measure ~smoke:true ~label:(label ^ "-smoke") ()
+    Dispatch.Throughput.measure ~smoke:true ~repeats:3
+      ~label:(label ^ "-smoke") ()
   in
   let trajectory = Dispatch.Throughput.append ~path smoke in
   print_string (Dispatch.Throughput.render_trajectory trajectory);

@@ -173,8 +173,7 @@ let capture_gc f =
   in
   (r, gc)
 
-let measure ?(smoke = false) ~label () =
-  let repeats = if smoke then 1 else 3 in
+let measure ?(smoke = false) ?(repeats = if smoke then 1 else 3) ~label () =
   let cells, gc =
     capture_gc (fun () ->
         if smoke then

@@ -36,12 +36,13 @@ type sample = {
   gc : gc option;
 }
 
-val measure : ?smoke:bool -> label:string -> unit -> sample
+val measure : ?smoke:bool -> ?repeats:int -> label:string -> unit -> sample
 (** Run the harness.  The full pass (default) times every fig3 grid
     cell (CI scenario; 8 KB / 128 KB / 1 MB batches; methods A, B, C-3)
     and the ci-serve saturation cell for methods B and C-3, best of 3.
     [smoke] runs one reduced cell per family once — the
-    [@bench-throughput] CI alias. *)
+    [@bench-throughput] CI alias.  [repeats] overrides the best-of
+    count of either pass. *)
 
 val to_json : sample list -> Obs.Json.t
 (** Manifest-headed trajectory document. *)
